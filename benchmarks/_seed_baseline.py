@@ -7,7 +7,7 @@ rewrite the moment the shared stages got faster.  This module freezes
 the seed implementations the comparison is defined against:
 
 * the row-object JSONL loader (one ``SnapshotRow`` and one numpy vector
-  per line),
+  per line, plus the parsed header),
 * the multiplicative-update NMF with a full ``‖V - WΨ‖`` reconstruction
   every sweep,
 * the per-row hazard interpreter (index maps rebuilt per call).
@@ -22,7 +22,7 @@ the frame path's bit-for-bit (the benchmark asserts this).
 from __future__ import annotations
 
 import json
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -33,13 +33,18 @@ from repro.core.normalization import MinMaxNormalizer
 from repro.core.sparsify import sparsify_weights
 from repro.core.states import build_states_python
 from repro.metrics.catalog import HAZARDS, METRIC_NAMES
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
+from repro.traces.records import GroundTruth, SnapshotRow
 
 _EPS = 1e-10
 
 
-def load_trace_jsonl_seed(path) -> Trace:
-    """The seed's JSONL loader: one row object per line."""
+def load_rows_jsonl_seed(path) -> Tuple[List[SnapshotRow], dict]:
+    """The seed's JSONL loader: one row object per line.
+
+    Returns ``(rows, header)``; the header's ground truth and arrivals are
+    parsed into ``GroundTruth`` objects and ``(time, node)`` tuples, the
+    per-record work the seed's trace container did on load.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         assert list(header["metric_names"]) == list(METRIC_NAMES)
@@ -55,22 +60,17 @@ def load_trace_jsonl_seed(path) -> Trace:
                     values=np.asarray(obj["values"], dtype=float),
                 )
             )
-    return Trace(
-        rows=rows,
-        metadata=header.get("metadata", {}),
-        ground_truth=[
-            GroundTruth(
-                kind=g["kind"],
-                node_ids=tuple(g["node_ids"]),
-                start=g["start"],
-                end=g["end"],
-            )
-            for g in header.get("ground_truth", [])
-        ],
-        packets_generated=header.get("packets_generated", 0),
-        packets_received=header.get("packets_received", 0),
-        arrivals=[(t, n) for t, n in header.get("arrivals", [])],
-    )
+    header["ground_truth"] = [
+        GroundTruth(
+            kind=g["kind"],
+            node_ids=tuple(g["node_ids"]),
+            start=g["start"],
+            end=g["end"],
+        )
+        for g in header.get("ground_truth", [])
+    ]
+    header["arrivals"] = [(t, n) for t, n in header.get("arrivals", [])]
+    return rows, header
 
 
 def nmf_seed(
@@ -158,12 +158,12 @@ class SeedInterpreter(RootCauseInterpreter):
 
 
 def fit_seed(
-    trace: Trace,
+    rows: Iterable[SnapshotRow],
     rank: int = 20,
     filter_exceptions: bool = True,
 ) -> np.ndarray:
     """The seed's ``VN2.fit(trace)``, stage for stage; returns Ψ."""
-    states = build_states_python(trace)
+    states = build_states_python(rows)
     # Online exception-scoring statistics (a separate pass in the seed).
     values = states.values
     mean = values.mean(axis=0)

@@ -31,7 +31,7 @@ from repro.traces.io import (
     save_frame_npz,
 )
 
-from _seed_baseline import fit_seed, load_trace_jsonl_seed
+from _seed_baseline import fit_seed, load_rows_jsonl_seed
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +96,8 @@ def test_bench_runtime_build_states_frame(benchmark, citysee_trace):
 
 
 def test_bench_runtime_build_states_legacy(benchmark, citysee_trace):
-    trace = citysee_trace.to_trace()
-    states = benchmark(lambda: build_states_python(trace))
+    rows = list(citysee_trace.iter_rows())
+    states = benchmark(lambda: build_states_python(rows))
     assert np.array_equal(states.values, build_states(citysee_trace).values)
 
 
@@ -112,8 +112,8 @@ def _fit_legacy(jsonl_path):
     """The seed object path, pinned in ``_seed_baseline``: JSONL row
     objects -> Python diff loop -> per-sweep-reconstruction NMF ->
     per-row interpreter.  Returns Ψ."""
-    trace = load_trace_jsonl_seed(jsonl_path)
-    return fit_seed(trace, **_FIT_CONFIG)
+    rows, _header = load_rows_jsonl_seed(jsonl_path)
+    return fit_seed(rows, **_FIT_CONFIG)
 
 
 def _fit_frame(npz_path):

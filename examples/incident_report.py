@@ -15,7 +15,7 @@ loop + interference + traffic burst) in its middle window — the exact
 situation single-cause diagnosers garble.
 """
 
-from repro.analysis.baseline_comparison import build_multicause_trace
+from repro.analysis.baseline_comparison import build_multicause_frame
 from repro.analysis.performance import estimate_cause_costs
 from repro.core.incidents import incidents_from_trace
 from repro.core.pipeline import VN2, VN2Config
@@ -23,7 +23,7 @@ from repro.core.pipeline import VN2, VN2Config
 
 def main() -> None:
     print("simulating the incident (loop + jamming + burst) ...")
-    trace = build_multicause_trace(seed=21)
+    trace = build_multicause_frame(seed=21)
     window = trace.metadata["window"]
     print(
         f"trace: {len(trace)} snapshots, delivery {trace.delivery_ratio():.3f}; "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,10 +21,7 @@ from repro.analysis.reporting import format_table
 from repro.core.inference import sparsify_inferred
 from repro.core.pipeline import VN2
 from repro.core.states import build_states
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import Trace
-
-TraceLike = Union[Trace, TraceFrame]
+from repro.traces.frame import TraceFrame
 
 
 @dataclass
@@ -87,7 +84,7 @@ class NodeReport:
 
 def node_health_report(
     tool: VN2,
-    trace: TraceLike,
+    trace: TraceFrame,
     exception_threshold: float = 0.01,
     min_strength: float = 0.2,
     silence_periods: float = 4.0,
@@ -105,16 +102,15 @@ def node_health_report(
             counts as a silent window.
     """
     tool._require_fitted()
-    frame = as_frame(trace)
-    period = float(frame.metadata.get("report_period_s", 600.0))
-    start, end = frame.time_span()
+    period = float(trace.metadata.get("report_period_s", 600.0))
+    start, end = trace.time_span()
     span = max(end - start, period)
     expected = max(1, int(span / period))
 
-    states = build_states(frame)
+    states = build_states(trace)
 
     nodes: List[NodeHealth] = []
-    for node_id, rows in frame.node_slices():
+    for node_id, rows in trace.node_slices():
         node_states = states.for_node(node_id)
 
         exception_flags = np.zeros(0, dtype=bool)
@@ -141,7 +137,7 @@ def node_health_report(
                     cause_counter[label.primary_hazard] += 1
 
         silent: List[Tuple[float, float]] = []
-        times = frame.generated_at[rows]
+        times = trace.generated_at[rows]
         gap_limit = silence_periods * period
         for g in np.flatnonzero(np.diff(times) > gap_limit):
             silent.append((float(times[g]), float(times[g + 1])))

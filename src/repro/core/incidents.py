@@ -41,6 +41,7 @@ from repro.obs import MetricsRegistry, get_registry
 from repro.core.inference import infer_weights_batch, sparsify_inferred
 from repro.core.pipeline import VN2
 from repro.core.states import StateMatrix
+from repro.traces.frame import TraceFrame
 
 
 @dataclass
@@ -504,7 +505,7 @@ class IncidentAggregator:
 
 def incidents_from_trace(
     tool: VN2,
-    trace,
+    trace: TraceFrame,
     min_observations: int = 2,
     **aggregator_kwargs,
 ) -> List[Incident]:
@@ -512,7 +513,7 @@ def incidents_from_trace(
 
     Args:
         tool: Fitted VN2 model.
-        trace: A :class:`repro.traces.records.Trace` (its stored node
+        trace: A :class:`repro.traces.frame.TraceFrame` (its stored node
             positions, if any, enable spatial clustering).
         min_observations: Drop incidents with fewer observations (noise).
         **aggregator_kwargs: Forwarded to :class:`IncidentAggregator`.

@@ -25,13 +25,13 @@ lazily for legacy consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import Trace
+from repro.traces.frame import TraceFrame
+from repro.traces.records import SnapshotRow
 
 
 @dataclass
@@ -283,7 +283,7 @@ class StreamingStateBuilder:
             time_to=generated_at,
         )
 
-    def push_frame(self, frame: Union[Trace, TraceFrame]) -> StateMatrix:
+    def push_frame(self, frame: TraceFrame) -> StateMatrix:
         """Vectorized chunk ingestion: one differencing pass per chunk.
 
         Equivalent to calling :meth:`push` row by row (states come back in
@@ -293,7 +293,6 @@ class StreamingStateBuilder:
         sorted frame reproduces the batch differencer; feeding successive
         chunks of it gives the same states with bounded memory.
         """
-        frame = as_frame(frame)
         n = len(frame)
         if n == 0:
             return StateMatrix(values=np.zeros((0, NUM_METRICS)))
@@ -358,7 +357,7 @@ class StreamingStateBuilder:
 
 
 def build_states(
-    trace: Union[Trace, TraceFrame],
+    trace: TraceFrame,
     max_epoch_gap: Optional[int] = None,
     per_epoch_rate: bool = False,
 ) -> StateMatrix:
@@ -372,7 +371,7 @@ def build_states(
     :meth:`StreamingStateBuilder.push` produces bit-identical states.
 
     Args:
-        trace: Sink-side trace (object or frame) of complete snapshots.
+        trace: Sink-side trace frame of complete snapshots.
         max_epoch_gap: Skip snapshot pairs more than this many epochs
             apart (packet loss can separate "successive" received packets
             by hours; a large gap makes counter deltas incomparable).
@@ -386,22 +385,27 @@ def build_states(
     builder = StreamingStateBuilder(
         max_epoch_gap=max_epoch_gap, per_epoch_rate=per_epoch_rate
     )
-    return builder.push_frame(as_frame(trace))
+    return builder.push_frame(trace)
 
 
 def build_states_python(
-    trace: Trace,
+    snapshots: Iterable[SnapshotRow],
     max_epoch_gap: Optional[int] = None,
     per_epoch_rate: bool = False,
 ) -> StateMatrix:
     """The seed's per-object differencing loop, kept as the reference
     implementation (and the legacy side of the benchmark pairing).
 
-    Semantically identical to :func:`build_states`.
+    Groups the snapshots by node in ``(node_id, epoch)`` order, then
+    differences successive pairs.  Semantically identical to
+    :func:`build_states` over the frame holding the same rows.
     """
+    per_node: Dict[int, List[SnapshotRow]] = {}
+    for row in sorted(snapshots, key=lambda r: (r.node_id, r.epoch)):
+        per_node.setdefault(row.node_id, []).append(row)
     rows: List[np.ndarray] = []
     provenance: List[StateProvenance] = []
-    for node_id, snaps in sorted(trace.per_node().items()):
+    for node_id, snaps in per_node.items():
         for prev, curr in zip(snaps, snaps[1:]):
             gap = curr.epoch - prev.epoch
             if gap <= 0:

@@ -69,8 +69,8 @@ from repro.core.states import (
     StreamingStateBuilder,
     stack_states,
 )
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import SnapshotRow, Trace
+from repro.traces.frame import TraceFrame
+from repro.traces.records import SnapshotRow
 
 #: One report packet: (node_id, epoch, generated_at, values).
 Packet = Tuple[int, int, float, np.ndarray]
@@ -84,20 +84,19 @@ _SUMMARY_IDX = tuple(METRIC_INDEX[name] for name in SUMMARY_METRICS)
 
 
 def iter_packets(
-    source: Union[Trace, TraceFrame, Iterable],
+    source: Union[TraceFrame, Iterable],
 ) -> Iterator[Packet]:
     """Yield ``(node_id, epoch, generated_at, values)`` in arrival order.
 
-    A :class:`~repro.traces.frame.TraceFrame` (or legacy ``Trace``) is
-    stored node-major; a live sink sees packets in *time* order.  This
-    helper yields frame rows sorted by (generated_at, node_id, epoch) —
-    the canonical arrival order the streaming engine's bit-identity
-    guarantees assume.  Iterables of :class:`SnapshotRow` or packet
-    tuples are passed through untouched (a tailed JSONL file is already
-    in arrival order).
+    A :class:`~repro.traces.frame.TraceFrame` is stored node-major; a
+    live sink sees packets in *time* order.  This helper yields frame
+    rows sorted by (generated_at, node_id, epoch) — the canonical arrival
+    order the streaming engine's bit-identity guarantees assume.
+    Iterables of :class:`SnapshotRow` or packet tuples are passed through
+    untouched (a tailed JSONL file is already in arrival order).
     """
-    if isinstance(source, (Trace, TraceFrame)):
-        frame = as_frame(source)
+    if isinstance(source, TraceFrame):
+        frame = source
         order = np.lexsort((frame.epochs, frame.node_ids, frame.generated_at))
         for i in order:
             yield (

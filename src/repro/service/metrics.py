@@ -105,8 +105,8 @@ class ShardCounters:
     bare (no registry), a private enabled registry keeps the counters
     independent, preserving the original plain-int semantics.
 
-    The legacy attribute names (``batches_accepted`` …) remain readable
-    properties; mutation goes through the ``add_*`` methods.
+    Mutation goes through the ``add_*`` methods; :meth:`snapshot` is the
+    read surface.
     """
 
     def __init__(
@@ -163,29 +163,11 @@ class ShardCounters:
         self.latency.observe(seconds)
         self._ingest_seconds.observe(seconds)
 
-    # -- legacy read surface -------------------------------------------
-
-    @property
-    def batches_accepted(self) -> int:
-        return int(self._batches_accepted.value)
-
-    @property
-    def batches_rejected(self) -> int:
-        return int(self._batches_rejected.value)
-
-    @property
-    def packets_accepted(self) -> int:
-        return int(self._packets_accepted.value)
-
-    @property
-    def events_emitted(self) -> int:
-        return int(self._events_emitted.value)
-
     def snapshot(self) -> Dict[str, object]:
         return {
-            "batches_accepted": self.batches_accepted,
-            "batches_rejected": self.batches_rejected,
-            "packets_accepted": self.packets_accepted,
-            "events_emitted": self.events_emitted,
+            "batches_accepted": int(self._batches_accepted.value),
+            "batches_rejected": int(self._batches_rejected.value),
+            "packets_accepted": int(self._packets_accepted.value),
+            "events_emitted": int(self._events_emitted.value),
             "ingest_latency": self.latency.snapshot(),
         }

@@ -1,14 +1,13 @@
-"""Trace persistence: JSONL (lossless, diff-able), NPZ (fast, columnar)
-and CSV (snapshot matrix only).
+"""Trace persistence: JSONL (diff-able, values rounded), NPZ (bit-exact,
+columnar) and CSV (snapshot matrix only).
 
 Both real codecs speak :class:`repro.traces.frame.TraceFrame` natively —
-no per-snapshot objects are materialized on either side of the disk.  The
-legacy ``save_trace_jsonl`` / ``load_trace_jsonl`` helpers remain as thin
-shims that convert at the boundary.
+no per-snapshot objects are materialized on either side of the disk.
 
 * **JSONL** — one header object followed by one object per snapshot.
   Human-readable and stable under version control; metric values are
-  written with 6-decimal precision.
+  rounded to :data:`JSONL_DECIMALS` decimals, so a round trip is lossy
+  (everything else — ids, timestamps, header — survives exactly).
 * **NPZ** — the frame's columns stored as raw numpy arrays plus a JSON
   header; bit-exact and an order of magnitude faster to load, the format
   the hot paths (trace cache, benchmarks) use.
@@ -30,10 +29,13 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.metrics.catalog import METRIC_NAMES, NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
+from repro.traces.frame import TraceFrame
+from repro.traces.records import GroundTruth, SnapshotRow
 
 _FORMAT_VERSION = 1
+
+#: Decimal places the JSONL codec keeps of each metric value.
+JSONL_DECIMALS = 6
 
 #: Formats understood by :func:`save_frame` / :func:`load_frame`.
 FORMATS = ("jsonl", "npz")
@@ -185,11 +187,12 @@ def row_from_obj(obj: dict) -> SnapshotRow:
 def save_frame_jsonl(frame: TraceFrame, path: Union[str, Path]) -> None:
     """Write a frame to ``path`` in JSONL format (gzip-free, diff-able).
 
-    The write is atomic (temp file + rename): concurrent readers and
+    Metric values are rounded to :data:`JSONL_DECIMALS` decimals.  The
+    write is atomic (temp file + rename): concurrent readers and
     same-path writers always see a complete file.
     """
     path = Path(path)
-    rounded = np.round(frame.values, 6)
+    rounded = np.round(frame.values, JSONL_DECIMALS)
     with _atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_header_dict(frame)) + "\n")
         for i in range(len(frame)):
@@ -240,16 +243,6 @@ def load_frame_jsonl(path: Union[str, Path]) -> TraceFrame:
         received_at=np.asarray(received, dtype=float),
         values=values,
     )
-
-
-def save_trace_jsonl(trace: Union[Trace, TraceFrame], path: Union[str, Path]) -> None:
-    """Legacy shim: write a trace (or frame) to JSONL."""
-    save_frame_jsonl(as_frame(trace), path)
-
-
-def load_trace_jsonl(path: Union[str, Path]) -> Trace:
-    """Legacy shim: read a JSONL trace as the object representation."""
-    return load_frame_jsonl(path).to_trace()
 
 
 # --------------------------------------------------------------------------
@@ -544,13 +537,12 @@ def detect_format(path: Union[str, Path]) -> str:
 
 
 def save_frame(
-    frame: Union[Trace, TraceFrame],
+    frame: TraceFrame,
     path: Union[str, Path],
     fmt: Optional[str] = None,
 ) -> None:
-    """Write a trace/frame in the requested (or suffix-inferred) format."""
+    """Write a frame in the requested (or suffix-inferred) format."""
     fmt = fmt or detect_format(path)
-    frame = as_frame(frame)
     if fmt == "jsonl":
         save_frame_jsonl(frame, path)
     elif fmt == "npz":
@@ -574,11 +566,8 @@ def load_frame(path: Union[str, Path], fmt: Optional[str] = None) -> TraceFrame:
 # --------------------------------------------------------------------------
 
 
-def export_snapshots_csv(
-    trace: Union[Trace, TraceFrame], path: Union[str, Path]
-) -> None:
+def export_snapshots_csv(frame: TraceFrame, path: Union[str, Path]) -> None:
     """Write the snapshot matrix as CSV with named metric columns."""
-    frame = as_frame(trace)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:

@@ -1,15 +1,15 @@
-"""Trace container: what VN2's back-end actually consumes.
+"""Per-snapshot records that travel alongside a :class:`TraceFrame`.
 
-A :class:`Trace` is the sink-side record of a deployment: complete 43-metric
-snapshots per node (in epoch order), packet-arrival accounting for PRR
-analysis, the ground-truth fault log (for evaluation only — the algorithm
-never sees it), and the generation metadata needed to interpret timestamps.
+:class:`SnapshotRow` is one complete 43-metric snapshot of one node as it
+reaches the sink — the live, per-packet unit the JSONL tailer yields and
+the service client submits.  :class:`GroundTruth` is one injected fault
+episode, kept for evaluation only (the algorithm never sees it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -43,108 +43,3 @@ class GroundTruth:
     node_ids: Tuple[int, ...]
     start: float
     end: float
-
-
-@dataclass
-class Trace:
-    """A full deployment trace.
-
-    Attributes:
-        rows: All complete snapshots, sorted by (node_id, epoch).
-        metadata: Generation parameters (report period, duration, seed ...).
-        ground_truth: Fault episodes, for evaluation harnesses only.
-        packets_generated: Report packets the nodes emitted.
-        packets_received: Report packets that reached the sink.
-        arrivals: (received_at, node_id) per received packet, arrival order.
-    """
-
-    rows: List[SnapshotRow]
-    metadata: Dict[str, object] = field(default_factory=dict)
-    ground_truth: List[GroundTruth] = field(default_factory=list)
-    packets_generated: int = 0
-    packets_received: int = 0
-    arrivals: List[Tuple[float, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.rows.sort(key=lambda r: (r.node_id, r.epoch))
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-
-    @property
-    def node_ids(self) -> List[int]:
-        """Distinct node ids present in the trace, ascending."""
-        return sorted({r.node_id for r in self.rows})
-
-    def rows_for(self, node_id: int) -> List[SnapshotRow]:
-        """This node's snapshots in epoch order."""
-        return [r for r in self.rows if r.node_id == node_id]
-
-    def per_node(self) -> Dict[int, List[SnapshotRow]]:
-        """node_id -> its snapshots in epoch order."""
-        result: Dict[int, List[SnapshotRow]] = {}
-        for row in self.rows:
-            result.setdefault(row.node_id, []).append(row)
-        return result
-
-    def time_span(self) -> Tuple[float, float]:
-        """(first, last) snapshot generation time; (0, 0) when empty."""
-        if not self.rows:
-            return (0.0, 0.0)
-        times = [r.generated_at for r in self.rows]
-        return (min(times), max(times))
-
-    def window(self, start: float, end: float) -> "Trace":
-        """Sub-trace of snapshots generated in [start, end)."""
-        rows = [r for r in self.rows if start <= r.generated_at < end]
-        arrivals = [(t, n) for (t, n) in self.arrivals if start <= t < end]
-        return Trace(
-            rows=rows,
-            metadata=dict(self.metadata),
-            ground_truth=list(self.ground_truth),
-            packets_generated=self.packets_generated,
-            packets_received=self.packets_received,
-            arrivals=arrivals,
-        )
-
-    def delivery_ratio(self) -> float:
-        """Fraction of generated report packets that arrived at the sink."""
-        if self.packets_generated == 0:
-            return 0.0
-        return self.packets_received / self.packets_generated
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def ground_truth_in(self, start: float, end: float) -> List[GroundTruth]:
-        """Ground-truth episodes overlapping [start, end)."""
-        return [
-            g for g in self.ground_truth if g.start < end and g.end >= start
-        ]
-
-    def to_frame(self):
-        """Columnarize into a :class:`repro.traces.frame.TraceFrame`.
-
-        The conversion is lossless: ``trace.to_frame().to_trace()`` gives
-        back bit-identical snapshot values, ordering and accounting.
-        """
-        from repro.traces.frame import TraceFrame
-
-        return TraceFrame.from_trace(self)
-
-
-def trace_from_network(network, metadata: Optional[Dict[str, object]] = None) -> Trace:
-    """Extract a :class:`Trace` from a finished simulation.
-
-    This is the legacy object-shaped view; it materializes the columnar
-    :func:`repro.traces.frame.frame_from_network` extraction once at the
-    boundary.
-
-    Args:
-        network: A :class:`repro.simnet.network.Network` that has been run.
-        metadata: Extra metadata to record alongside the run parameters.
-    """
-    from repro.traces.frame import frame_from_network
-
-    return frame_from_network(network, metadata).to_trace()

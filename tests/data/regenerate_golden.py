@@ -9,8 +9,8 @@ from repro.simnet.faults import FaultInjector, ForcedLoop, NodeReboot
 from repro.simnet.network import Network, NetworkConfig
 from repro.simnet.radio import RadioParams
 from repro.simnet.topology import grid_topology
-from repro.traces.io import save_trace_jsonl
-from repro.traces.records import trace_from_network
+from repro.traces.frame import frame_from_network
+from repro.traces.io import save_frame_jsonl
 
 
 def main() -> None:
@@ -24,15 +24,15 @@ def main() -> None:
         NodeReboot(5, at=1000.0),
     ]).install(network)
     network.run(1800.0)
-    trace = trace_from_network(network, metadata={
+    frame = frame_from_network(network, metadata={
         "kind": "golden",
         "positions": {
             str(n): list(p) for n, p in topology.positions.items()
         },
     })
-    save_trace_jsonl(trace, "tests/data/golden_trace.jsonl")
-    print(f"golden trace: {len(trace)} snapshots, "
-          f"delivery {trace.delivery_ratio():.4f}")
+    save_frame_jsonl(frame, "tests/data/golden_trace.jsonl")
+    print(f"golden trace: {len(frame)} snapshots, "
+          f"delivery {frame.delivery_ratio():.4f}")
 
 
 if __name__ == "__main__":

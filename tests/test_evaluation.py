@@ -13,7 +13,8 @@ from repro.analysis.evaluation import (
 )
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import StateProvenance
-from repro.traces.records import GroundTruth, Trace
+from repro.traces.frame import TraceFrame
+from repro.traces.records import GroundTruth
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def test_kind_score_degenerate():
 
 
 def test_truth_kinds_window_and_node_scoping():
-    trace = Trace(rows=[], ground_truth=[
+    trace = TraceFrame([], [], [], [], [], ground_truth=[
         GroundTruth("routing_loop", (5, 6), 100.0, 200.0),
         GroundTruth("interference", (7,), 100.0, 200.0),
     ])
@@ -81,4 +82,4 @@ def test_threshold_sweep_tradeoff(fitted, multicause_trace):
 
 def test_empty_trace_rejected(fitted):
     with pytest.raises(ValueError):
-        evaluate_diagnoses(fitted, Trace(rows=[]))
+        evaluate_diagnoses(fitted, TraceFrame([], [], [], [], []))

@@ -113,9 +113,7 @@ def test_iterables_pass_through_untouched():
 
 
 def test_frame_replay_matches_manual_lexsort(testbed_trace):
-    from repro.traces.frame import as_frame
-
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     order = np.lexsort((frame.epochs, frame.node_ids, frame.generated_at))
     expected = [
         (float(frame.generated_at[i]), int(frame.node_ids[i]),

@@ -132,7 +132,7 @@ def test_latency_series_on_testbed(testbed_trace):
 
 
 def test_latency_series_empty():
-    from repro.traces.records import Trace
+    from repro.traces.frame import TraceFrame
 
-    centers, medians = latency_series(Trace(rows=[]))
+    centers, medians = latency_series(TraceFrame([], [], [], [], []))
     assert len(centers) == 0

@@ -14,6 +14,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from repro.service.client import (
 )
 from repro.service.loadgen import LoadgenReport, replay_trace
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
 from repro.traces.records import SnapshotRow
 
 
@@ -118,12 +118,14 @@ class _FlakySink(threading.Thread):
     Every connection gets a hello.  The first ``drop_first`` connections
     read one line and close without replying — exactly the ack-never-
     arrived case the SDK must recover from by reconnecting and resending.
-    Later connections ack every ingest normally.
+    Later connections ack every ingest normally, or, with ``ack=False``,
+    stay open and never reply (the silent-sink case).
     """
 
-    def __init__(self, drop_first: int = 1):
+    def __init__(self, drop_first: int = 1, ack: bool = True):
         super().__init__(daemon=True)
         self.drop_first = drop_first
+        self.ack = ack
         self.seen_batches = []
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
@@ -138,8 +140,9 @@ class _FlakySink(threading.Thread):
                 return
             self._accepted += 1
             drop = self._accepted <= self.drop_first
-            with conn:
-                file = conn.makefile("rwb")
+            # Close the file with the socket: a lingering makefile keeps the
+            # connection open, so a drop would never reach the client as EOF.
+            with conn, conn.makefile("rwb") as file:
                 file.write(protocol.encode(protocol.hello()))
                 file.flush()
                 while True:
@@ -152,6 +155,8 @@ class _FlakySink(threading.Thread):
                     )
                     if drop:
                         break  # close without acking
+                    if not self.ack:
+                        continue  # stay connected, never reply
                     file.write(protocol.encode(protocol.ack(
                         msg["seq"], accepted=len(msg["packets"]),
                         queued=0,
@@ -204,6 +209,27 @@ def test_reconnect_survives_several_consecutive_drops():
     assert len(sink.seen_batches) == 4
 
 
+def test_silent_sink_times_out_each_attempt_then_gives_up():
+    """A sink that holds the connection open but never acks: every attempt
+    waits out the client's ack timeout, resends, and the client finally
+    raises instead of hanging."""
+    sink = _FlakySink(drop_first=0, ack=False)
+    backoff = _fast_backoff()
+    try:
+        client = ServiceClient(port=sink.port, backoff=backoff,
+                               rng=random.Random(0), timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(ServiceUnavailable):
+            client.submit("city-a", _packets(2))
+        elapsed = time.monotonic() - start
+        client.close()
+    finally:
+        sink.close()
+    attempts = backoff.max_attempts + 1
+    assert sink.seen_batches == [[0, 1]] * attempts
+    assert attempts * 0.2 <= elapsed < 10.0
+
+
 def test_unreachable_port_exhausts_backoff():
     # A bound-then-closed socket guarantees nothing is listening there.
     probe = socket.create_server(("127.0.0.1", 0))
@@ -222,7 +248,7 @@ def test_unreachable_port_exhausts_backoff():
 
 @pytest.fixture(scope="module")
 def small_frame(testbed_trace):
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     lo = float(frame.generated_at.min())
     hi = float(frame.generated_at.max())
     return frame.window(0.0, lo + 0.5 * (hi - lo))

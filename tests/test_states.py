@@ -5,23 +5,33 @@ import pytest
 
 from repro.core.states import StateMatrix, StateProvenance, build_states
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.records import SnapshotRow, Trace
+from repro.traces.frame import TraceFrame
 
 
 def make_trace(values_by_node):
-    rows = []
-    for node_id, values in values_by_node.items():
-        for epoch, vec in enumerate(values):
-            rows.append(
-                SnapshotRow(
-                    node_id=node_id,
-                    epoch=epoch,
-                    generated_at=epoch * 10.0,
-                    received_at=epoch * 10.0 + 1,
-                    values=np.full(NUM_METRICS, float(vec)),
-                )
-            )
-    return Trace(rows=rows)
+    keys = [
+        (node_id, epoch, float(vec))
+        for node_id, values in values_by_node.items()
+        for epoch, vec in enumerate(values)
+    ]
+    return TraceFrame(
+        node_ids=[k[0] for k in keys],
+        epochs=[k[1] for k in keys],
+        generated_at=[k[1] * 10.0 for k in keys],
+        received_at=[k[1] * 10.0 + 1 for k in keys],
+        values=[np.full(NUM_METRICS, k[2]) for k in keys],
+    )
+
+
+def two_snapshot_frame(epoch_to, values_to):
+    """Node 1 reporting zeros at epoch 0, then ``values_to`` at ``epoch_to``."""
+    return TraceFrame(
+        node_ids=[1, 1],
+        epochs=[0, epoch_to],
+        generated_at=[0.0, epoch_to * 10.0],
+        received_at=[1.0, epoch_to * 10.0 + 1],
+        values=[np.zeros(NUM_METRICS), values_to],
+    )
 
 
 def test_differencing():
@@ -49,27 +59,19 @@ def test_nodes_do_not_cross():
 
 
 def test_epoch_gap_filtering():
-    rows = [
-        SnapshotRow(1, 0, 0.0, 1.0, np.zeros(NUM_METRICS)),
-        SnapshotRow(1, 5, 50.0, 51.0, np.ones(NUM_METRICS)),
-    ]
-    trace = Trace(rows=rows)
+    trace = two_snapshot_frame(5, np.ones(NUM_METRICS))
     assert len(build_states(trace)) == 1
     assert len(build_states(trace, max_epoch_gap=2)) == 0
 
 
 def test_per_epoch_rate():
-    rows = [
-        SnapshotRow(1, 0, 0.0, 1.0, np.zeros(NUM_METRICS)),
-        SnapshotRow(1, 4, 40.0, 41.0, np.full(NUM_METRICS, 8.0)),
-    ]
-    trace = Trace(rows=rows)
+    trace = two_snapshot_frame(4, np.full(NUM_METRICS, 8.0))
     states = build_states(trace, per_epoch_rate=True)
     assert states.values[0][0] == pytest.approx(2.0)
 
 
 def test_empty_trace():
-    states = build_states(Trace(rows=[]))
+    states = build_states(TraceFrame([], [], [], [], []))
     assert len(states) == 0
 
 

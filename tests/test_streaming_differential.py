@@ -36,7 +36,6 @@ from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import StreamingStateBuilder, build_states, stack_states
 from repro.core.streaming import StreamingDiagnosisSession, iter_packets
 from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
-from repro.traces.frame import as_frame
 
 RUN_ALL_PRESETS = os.environ.get("VN2_DIFF_ALL", "") == "1"
 
@@ -101,7 +100,6 @@ def assert_same_states(streamed, batch, context):
 
 
 def _assert_differential(tool, frame, context):
-    frame = as_frame(frame)
     positions = _positions(frame)
     threshold = tool.config.exception_threshold
     batch_states = build_states(frame)
@@ -166,14 +164,14 @@ def test_citysee_streaming_bit_identical_to_batch(preset, preset_run):
 
 def test_testbed_streaming_bit_identical_to_batch(testbed_tool, testbed_trace):
     n_states, n_exceptions, _ = _assert_differential(
-        testbed_tool, as_frame(testbed_trace), "testbed"
+        testbed_tool, testbed_trace, "testbed"
     )
     assert n_states > 0 and n_exceptions > 0
 
 
 def test_diagnose_stream_flushes_open_incidents(testbed_tool, testbed_trace):
     """The generator facade ends with a state-less flush update."""
-    updates = list(testbed_tool.diagnose_stream(as_frame(testbed_trace)))
+    updates = list(testbed_tool.diagnose_stream(testbed_trace))
     assert updates, "stream produced no updates"
     opened = [e for u in updates for e in u.events if e.kind == "open"]
     closed = [e for u in updates for e in u.events if e.kind == "close"]
@@ -205,7 +203,7 @@ def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
     sidecar_path.write_text(json.dumps(sidecar))
     legacy = VN2.load(path)
 
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     session = StreamingDiagnosisSession(legacy)
     updates = list(session.process(frame))
     assert updates and all(u.is_exception for u in updates)

@@ -18,7 +18,7 @@ from repro.core.states import (
     stack_states,
 )
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
+from repro.traces.frame import TraceFrame
 
 
 def _make_frame(rows):
@@ -113,9 +113,8 @@ def _streamed(states):
 
 
 def test_matches_reference_loop_on_trace(testbed_trace):
-    frame = as_frame(testbed_trace)
-    batch = build_states(frame)
-    reference = build_states_python(testbed_trace)
+    batch = build_states(testbed_trace)
+    reference = build_states_python(testbed_trace.iter_rows())
     _assert_states_equal(batch, reference)
 
 

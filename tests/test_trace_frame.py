@@ -1,9 +1,10 @@
 """Property-style tests of the columnar trace backbone.
 
-Exercises the Trace ⇄ TraceFrame round-trip (bit-exact metric matrices,
-ordering invariant), the JSONL/NPZ codecs, the empty-trace and
-single-node edge cases, the vectorized state builder against the legacy
-Python loop, and the batch NNLS path against per-state inference.
+Exercises the TraceFrame ⇄ row-view round-trip (bit-exact metric
+matrices, ordering invariant), the JSONL/NPZ codecs, the empty-trace and
+single-node edge cases, the vectorized state builder against the
+reference Python loop, and the batch NNLS path against per-state
+inference.
 """
 
 import numpy as np
@@ -13,8 +14,9 @@ from repro.core.inference import infer_single, infer_weights_batch
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import build_states, build_states_python
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
+from repro.traces.frame import TraceFrame
 from repro.traces.io import (
+    JSONL_DECIMALS,
     load_frame,
     load_frame_jsonl,
     load_frame_npz,
@@ -22,7 +24,7 @@ from repro.traces.io import (
     save_frame_jsonl,
     save_frame_npz,
 )
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
+from repro.traces.records import GroundTruth, SnapshotRow
 
 
 def random_frame(seed: int, n_nodes: int = 5, epochs_per_node: int = 8) -> TraceFrame:
@@ -72,30 +74,46 @@ def assert_frames_equal(a: TraceFrame, b: TraceFrame) -> None:
 
 
 # ----------------------------------------------------------------------
-# Trace ⇄ TraceFrame round-trip
+# TraceFrame ⇄ row view round-trip
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_trace_frame_roundtrip_bit_exact(seed):
+    """Rows from ``iter_rows()`` rebuild the frame bit for bit."""
     frame = random_frame(seed)
-    back = frame.to_trace().to_frame()
+    rows = list(frame.iter_rows())
+    back = TraceFrame(
+        node_ids=[r.node_id for r in rows],
+        epochs=[r.epoch for r in rows],
+        generated_at=[r.generated_at for r in rows],
+        received_at=[r.received_at for r in rows],
+        values=[r.values for r in rows],
+        metadata=frame.metadata,
+        ground_truth=frame.ground_truth,
+        packets_generated=frame.packets_generated,
+        packets_received=frame.packets_received,
+        arrival_times=frame.arrival_times,
+        arrival_nodes=frame.arrival_nodes,
+    )
     assert_frames_equal(frame, back)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_frame_trace_roundtrip_preserves_rows(seed):
     frame = random_frame(seed)
-    trace = frame.to_trace()
-    again = TraceFrame.from_trace(trace).to_trace()
-    assert len(trace) == len(again)
-    for r1, r2 in zip(trace.rows, again.rows):
-        assert r1.node_id == r2.node_id
-        assert r1.epoch == r2.epoch
-        assert r1.generated_at == r2.generated_at
-        assert r1.received_at == r2.received_at
-        assert np.array_equal(r1.values, r2.values)
-    assert trace.arrivals == again.arrivals
+    original = frame.values.copy()
+    rows = list(frame.iter_rows())
+    assert len(rows) == len(frame)
+    for i, row in enumerate(rows):
+        assert isinstance(row, SnapshotRow)
+        assert row.node_id == frame.node_ids[i]
+        assert row.epoch == frame.epochs[i]
+        assert row.generated_at == frame.generated_at[i]
+        assert row.received_at == frame.received_at[i]
+        assert np.array_equal(row.values, frame.values[i])
+        row.values[:] = -1.0  # rows own their values
+    assert np.array_equal(frame.values, original)
 
 
 def test_constructor_restores_sort_invariant():
@@ -113,14 +131,6 @@ def test_constructor_restores_sort_invariant():
     keys = list(zip(shuffled.node_ids.tolist(), shuffled.epochs.tolist()))
     assert keys == sorted(keys)
     assert np.array_equal(shuffled.values, frame.values)
-
-
-def test_as_frame_passthrough_and_typeerror():
-    frame = random_frame(1)
-    assert as_frame(frame) is frame
-    assert isinstance(as_frame(frame.to_trace()), TraceFrame)
-    with pytest.raises(TypeError):
-        as_frame([1, 2, 3])
 
 
 def test_frame_rejects_mismatched_columns():
@@ -169,6 +179,16 @@ def test_jsonl_reload_is_stable(tmp_path, seed):
     assert_frames_equal(loaded, load_frame_jsonl(p2))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_jsonl_values_are_rounded_to_jsonl_decimals(tmp_path, seed):
+    """The JSONL codec's only loss: values rounded to JSONL_DECIMALS."""
+    frame = random_frame(seed)
+    path = tmp_path / "frame.jsonl"
+    save_frame_jsonl(frame, path)
+    loaded = load_frame_jsonl(path)
+    assert np.array_equal(loaded.values, np.round(frame.values, JSONL_DECIMALS))
+
+
 def test_save_load_frame_dispatch(tmp_path):
     frame = random_frame(2)
     npz = tmp_path / "t.npz"
@@ -192,11 +212,10 @@ def test_save_load_frame_dispatch(tmp_path):
 
 
 def test_empty_trace_roundtrip(tmp_path):
-    empty = Trace(rows=[])
-    frame = empty.to_frame()
+    frame = TraceFrame([], [], [], [], [])
     assert len(frame) == 0
     assert frame.values.shape == (0, NUM_METRICS)
-    assert len(frame.to_trace()) == 0
+    assert list(frame.iter_rows()) == []
     assert frame.unique_node_ids == []
     assert list(frame.node_slices()) == []
     assert frame.time_span() == (0.0, 0.0)
@@ -230,7 +249,7 @@ def test_single_node_frame(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# vectorized states vs the legacy loop
+# vectorized states vs the reference loop
 # ----------------------------------------------------------------------
 
 
@@ -239,7 +258,9 @@ def test_single_node_frame(tmp_path):
 def test_build_states_matches_python_loop(seed, max_epoch_gap):
     frame = random_frame(seed, n_nodes=6, epochs_per_node=10)
     fast = build_states(frame, max_epoch_gap=max_epoch_gap)
-    slow = build_states_python(frame.to_trace(), max_epoch_gap=max_epoch_gap)
+    # Reversed rows: the reference loop does its own (node, epoch) grouping.
+    rows = list(frame.iter_rows())[::-1]
+    slow = build_states_python(rows, max_epoch_gap=max_epoch_gap)
     assert np.array_equal(fast.values, slow.values)
     assert np.array_equal(fast.node_ids, slow.node_ids)
     assert np.array_equal(fast.epochs_from, slow.epochs_from)
@@ -251,7 +272,7 @@ def test_build_states_matches_python_loop(seed, max_epoch_gap):
 def test_build_states_per_epoch_rate_matches(seed=3):
     frame = random_frame(seed, n_nodes=4, epochs_per_node=9)
     fast = build_states(frame, per_epoch_rate=True)
-    slow = build_states_python(frame.to_trace(), per_epoch_rate=True)
+    slow = build_states_python(frame.iter_rows(), per_epoch_rate=True)
     assert np.allclose(fast.values, slow.values)
 
 

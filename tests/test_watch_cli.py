@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.traces.frame import as_frame
 from repro.traces.io import save_frame
 
 EVENT_KEYS = {
@@ -30,7 +29,7 @@ def watch_env(testbed_tool, testbed_trace, tmp_path_factory):
     model = root / "model"
     testbed_tool.save(model)
     trace = root / "trace.jsonl"
-    save_frame(as_frame(testbed_trace), trace, fmt="jsonl")
+    save_frame(testbed_trace, trace, fmt="jsonl")
     return model, trace
 
 
