@@ -11,6 +11,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,6 +20,28 @@ from pathlib import Path
 from urllib.request import urlopen
 
 from repro.obs import validate_exposition
+
+_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)")
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def exposition_samples(text):
+    """(name, labels dict, value) for every sample line of a scrape."""
+    samples = []
+    for line in text.splitlines():
+        match = _SAMPLE.match(line)
+        if match:
+            name, labels, value = match.groups()
+            samples.append((name, dict(_LABEL.findall(labels or "")),
+                            float(value)))
+    return samples
+
+
+def smoke_values(samples, name):
+    """Values of ``name`` samples labelled deployment="smoke"."""
+    return [value for sample, labels, value in samples
+            if sample == name and labels.get("deployment") == "smoke"]
+
 
 work = Path(os.environ.get("VN2_OBS_DIR", "obs-smoke"))
 work.mkdir(parents=True, exist_ok=True)
@@ -94,13 +117,16 @@ try:
 
     assert "version=0.0.4" in content_type, content_type
     n_samples = validate_exposition(body)
-    expected = (
-        'repro_streaming_packets_total{deployment="smoke"} 500',
-        '# TYPE repro_service_ingest_seconds histogram',
-        'repro_incidents_opened_total{deployment="smoke"}',
+    # Session series carry more labels than the deployment (model_version),
+    # so match samples by name and label, not by exact line text.
+    samples = exposition_samples(body)
+    packets = smoke_values(samples, "repro_streaming_packets_total")
+    assert packets == [500.0], f"smoke packets total: {packets}"
+    opened = smoke_values(samples, "repro_incidents_opened_total")
+    assert opened, "no repro_incidents_opened_total sample for smoke"
+    assert "# TYPE repro_service_ingest_seconds histogram" in body, (
+        "missing histogram TYPE line for repro_service_ingest_seconds"
     )
-    for needle in expected:
-        assert needle in body, f"missing from exposition: {needle!r}"
     print(f"prometheus: {n_samples} samples, exposition syntax valid")
 finally:
     if server.poll() is None:

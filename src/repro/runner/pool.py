@@ -26,9 +26,12 @@ per-deployment ordering guarantee rests on.
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import queue
+import sys
 import threading
+import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -74,7 +77,9 @@ class WorkerHandle:
         on_message: ``fn(worker_id, message)`` invoked *on the reader
             thread* for every inbound message; the caller is responsible
             for hopping onto its own event loop/queue.  After pipe EOF it
-            is invoked once more with ``{"type": WORKER_LOST}``.
+            is invoked once more with ``{"type": WORKER_LOST}``.  An
+            exception it raises is counted in :attr:`callback_errors` and
+            logged to stderr as one JSON line; the pump keeps running.
     """
 
     def __init__(
@@ -92,6 +97,8 @@ class WorkerHandle:
         self._reader: Optional[threading.Thread] = None
         self._writer: Optional[threading.Thread] = None
         self._lost = threading.Event()
+        #: Exceptions raised by ``on_message`` (written by the reader only).
+        self.callback_errors = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -154,13 +161,25 @@ class WorkerHandle:
                 break
             try:
                 self._on_message(self.worker_id, message)
-            except Exception:  # a broken callback must not kill the pump
-                pass
+            except Exception as exc:  # a broken callback must not kill the pump
+                self._callback_failed(message, exc)
         self._lost.set()
+        lost = {"type": WORKER_LOST}
         try:
-            self._on_message(self.worker_id, {"type": WORKER_LOST})
-        except Exception:
-            pass
+            self._on_message(self.worker_id, lost)
+        except Exception as exc:
+            self._callback_failed(lost, exc)
+
+    def _callback_failed(self, message: Any, exc: Exception) -> None:
+        self.callback_errors += 1
+        record = {
+            "site": "pool.pump",
+            "worker": self.worker_id,
+            "type": message.get("type") if isinstance(message, dict) else None,
+            "error": repr(exc),
+            "traceback": traceback.format_exc(),
+        }
+        print(json.dumps(record), file=sys.stderr, flush=True)
 
     def _write_loop(self) -> None:
         while True:
@@ -253,6 +272,11 @@ class ProcessPool:
 
     def pids(self) -> Dict[str, Optional[int]]:
         return {wid: h.pid for wid, h in self.workers.items()}
+
+    @property
+    def callback_errors(self) -> int:
+        """``on_message`` exceptions swallowed by every worker's pump."""
+        return sum(h.callback_errors for h in self.workers.values())
 
     # -- lifecycle -----------------------------------------------------
 

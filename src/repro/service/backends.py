@@ -488,6 +488,11 @@ class ProcessPoolBackend(ShardBackend):
             "repro_service_worker_errors_total",
             "w_error messages received from shard workers",
         )
+        self._m_pump_errors = registry.counter(
+            "repro_errors_total",
+            "Exceptions caught and counted instead of propagated, by site",
+            labels={"site": "pool.pump"},
+        )
         registry.gauge(
             "repro_service_workers_alive",
             "Live shard worker processes",
@@ -793,6 +798,12 @@ class ProcessPoolBackend(ShardBackend):
 
     async def refresh(self, timeout: float = 5.0) -> None:
         """Pull a fresh registry dump + session counters from every worker."""
+        if self.pool is not None:
+            # The pump threads count into the pool; publish the count here,
+            # on the loop, where every scrape passes first.
+            self._m_pump_errors.inc(
+                self.pool.callback_errors - self._m_pump_errors.value
+            )
         alive = [
             wid for wid, info in self._workers.items() if info["alive"]
         ]

@@ -13,8 +13,8 @@ frees a child to select a new parent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 MAX_ETX = 50.0
 """Cap for ETX estimates (effectively 'unusable link')."""
@@ -36,17 +36,29 @@ class NeighborEntry:
     # data-driven estimate
     data_attempts: int = 0
     data_acks: int = 0
+    #: link_etx() memo: the inputs it was computed from, and its value.
+    _etx_inputs: Optional[Tuple[int, int, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _etx: float = field(default=MAX_ETX, init=False, repr=False, compare=False)
 
     def link_etx(self) -> float:
         """Current link-ETX estimate (>= 1.0, capped at MAX_ETX)."""
+        inputs = (self.data_attempts, self.data_acks, self.beacon_quality)
+        if inputs == self._etx_inputs:
+            return self._etx
         if self.data_attempts >= 4 and self.data_acks > 0:
             etx = self.data_attempts / self.data_acks
-            return min(MAX_ETX, max(1.0, etx))
-        if self.beacon_quality > 0.02:
+            etx = min(MAX_ETX, max(1.0, etx))
+        elif self.beacon_quality > 0.02:
             # ETX ~ 1/q_in^2: assume the reverse link resembles the forward.
             etx = 1.0 / (self.beacon_quality * self.beacon_quality)
-            return min(MAX_ETX, max(1.0, etx))
-        return MAX_ETX
+            etx = min(MAX_ETX, max(1.0, etx))
+        else:
+            etx = MAX_ETX
+        self._etx_inputs = inputs
+        self._etx = etx
+        return etx
 
 
 class LinkEstimator:

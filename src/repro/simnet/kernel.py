@@ -1,16 +1,18 @@
 """Deterministic discrete-event simulation kernel.
 
-A minimal but complete event scheduler: events are ``(time, sequence,
-callback)`` triples kept in a binary heap.  The sequence number breaks ties
-deterministically, so two runs with the same seed replay the exact same
-event order.  Cancellation is lazy (a cancelled event stays in the heap but
-is skipped when popped), which keeps both operations O(log n).
+A minimal but complete event scheduler: the heap holds ``(time, sequence,
+event)`` tuples, so ``heapq`` orders entries by comparing a float and then
+an int in C.  The sequence number is unique and breaks ties
+deterministically (the :class:`Event` itself is never compared), so two
+runs with the same seed replay the exact same event order.  Cancellation
+is lazy (a cancelled event stays in the heap but is skipped when popped),
+which keeps both operations O(log n).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 
 class Event:
@@ -33,11 +35,6 @@ class Event:
         self.cancelled = True
         self.callback = None  # release references early
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.3f}, seq={self.seq}, {state})"
@@ -54,7 +51,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._events_processed = 0
         self._running = False
@@ -84,14 +81,15 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule event in the past: {time} < {self._now}"
             )
-        event = Event(time, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the queue."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     def run_until(self, end_time: float) -> None:
         """Run events in order until the clock reaches ``end_time``.
@@ -102,12 +100,14 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is already running (reentrant run)")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue and self._queue[0].time <= end_time:
-                event = heapq.heappop(self._queue)
+            while queue and queue[0][0] <= end_time:
+                time, _, event = heappop(queue)
                 if event.cancelled:
                     continue
-                self._now = event.time
+                self._now = time
                 callback = event.callback
                 event.callback = None
                 self._events_processed += 1

@@ -38,13 +38,19 @@ class DegradationWindow:
 
 
 class Link:
-    """Directed link a -> b with static shadowing and temporal fading."""
+    """Directed link a -> b with static shadowing and temporal fading.
+
+    ``distance``, ``shadowing_db`` and the radio params are fixed for the
+    link's lifetime (a relocation builds new links), so the static part of
+    the RSSI sum is computed once.
+    """
 
     __slots__ = (
         "src",
         "dst",
         "distance",
         "shadowing_db",
+        "_static_db",
         "_fade_db",
         "_fade_time",
         "_params",
@@ -65,6 +71,10 @@ class Link:
         self.dst = dst
         self.distance = distance
         self.shadowing_db = shadowing_db
+        # The left-associative prefix of the sum in rssi(): same float.
+        self._static_db = (
+            params.tx_power_dbm - path_loss_db(distance, params) + shadowing_db
+        )
         self._fade_db = 0.0
         self._fade_time = 0.0
         self._params = params
@@ -94,14 +104,10 @@ class Link:
 
     def rssi(self, time: float) -> float:
         """Received signal strength (dBm) at ``dst`` for a frame from ``src``."""
-        params = self._params
-        return (
-            params.tx_power_dbm
-            - path_loss_db(self.distance, params)
-            + self.shadowing_db
-            + self._fading(time)
-            - self._degradation(time)
-        )
+        rssi = self._static_db + self._fading(time)
+        if self.degradations:
+            rssi -= self._degradation(time)
+        return rssi
 
 
 class Medium:
@@ -207,7 +213,10 @@ class Medium:
         link = self.link(src, dst)
         if link is None:
             return 0.0
-        rssi = link.rssi(time)
+        return self.reception_probability(dst, link.rssi(time), time)
+
+    def reception_probability(self, dst: int, rssi: float, time: float) -> float:
+        """Probability dst decodes a frame arriving at ``rssi`` dBm."""
         noise = self.environment.noise_floor(time, self.topology.positions[dst])
         return prr_from_snr(rssi - noise, self.params)
 

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
+
+from repro.simnet.rng import uniform_reader
 
 
 @dataclass
@@ -83,8 +86,7 @@ class ChannelActivity:
 
     def bump(self, now: float, amount: float) -> None:
         """Record nearby transmission activity at time ``now``."""
-        self._advance(now)
-        self._level += amount
+        bump_activity((self,), now, amount)
 
     def level(self, now: float) -> float:
         """Current decayed activity level."""
@@ -92,12 +94,29 @@ class ChannelActivity:
         return self._level
 
 
+def bump_activity(
+    activities: Iterable[ChannelActivity], now: float, amount: float
+) -> None:
+    """:meth:`ChannelActivity.bump` each of ``activities`` (inlined: hot path)."""
+    for activity in activities:
+        dt = now - activity._time
+        if dt > 0:
+            activity._level *= math.exp(-dt / activity._decay_s)
+            activity._time = now
+        activity._level += amount
+
+
 class CsmaMac:
-    """Stateless CSMA sampler; activity levels live per node."""
+    """Stateless CSMA sampler; activity levels live per node.
+
+    The MAC takes ownership of ``rng``: it reads the stream through a
+    :func:`~repro.simnet.rng.uniform_reader`, which draws ahead, so no
+    other code may draw from the same generator.
+    """
 
     def __init__(self, params: MacParams, rng: np.random.Generator):
         self.params = params
-        self._rng = rng
+        self._draw = uniform_reader(rng)
 
     def busy_probability(self, activity_level: float, noise_rise_db: float) -> float:
         """Probability a CCA reports busy, from local load and noise rise."""
@@ -117,12 +136,14 @@ class CsmaMac:
         """Run the CSMA loop once and report the outcome."""
         p = self.params
         busy = self.busy_probability(activity_level, noise_rise_db)
+        draw = self._draw
         backoffs = 0
         delay = 0.0
         while backoffs < p.max_backoffs:
-            if self._rng.random() >= busy:
+            if draw() >= busy:
                 return MacAttempt(acquired=True, backoffs=backoffs, delay_s=delay)
             backoffs += 1
             window = p.initial_backoff_s if backoffs == 1 else p.congestion_backoff_s
-            delay += float(self._rng.uniform(0.5, 1.5)) * window
+            # Generator.uniform(0.5, 1.5) is low + (high - low) * next_double.
+            delay += (0.5 + 1.0 * draw()) * window
         return MacAttempt(acquired=False, backoffs=backoffs, delay_s=delay)

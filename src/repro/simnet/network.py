@@ -24,10 +24,10 @@ from repro.simnet.environment import Environment
 from repro.simnet.hardware import ClockParams, EnergyParams
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import Medium
-from repro.simnet.mac import ChannelActivity, CsmaMac, MacParams
+from repro.simnet.mac import ChannelActivity, CsmaMac, MacParams, bump_activity
 from repro.simnet.node import Node
 from repro.simnet.radio import RadioParams
-from repro.simnet.rng import RngRegistry
+from repro.simnet.rng import RngRegistry, uniform_reader
 from repro.simnet.topology import Topology
 
 #: Airtime of one data frame + ACK turnaround (CC2420, ~133 bytes max).
@@ -108,7 +108,8 @@ class Network:
             max_range=self.config.max_range_m,
         )
         self.mac = CsmaMac(self.config.mac, self.rngs.stream("mac"))
-        self._loss_rng = self.rngs.stream("loss")
+        # Frame-loss verdicts; the reader is the stream's only consumer.
+        self._loss_draw = uniform_reader(self.rngs.stream("loss"))
         self.collector = SinkCollector()
         self.stats = NetworkStats()
         self.ground_truth: List[GroundTruthEvent] = []
@@ -202,9 +203,12 @@ class Network:
         )
 
     def _bump_activity_around(self, node_id: int, now: float) -> None:
-        amount = self.config.mac.activity_per_frame
-        for neighbor_id in self._neighbor_cache[node_id]:
-            self._activity[neighbor_id].bump(now, amount)
+        activity = self._activity
+        bump_activity(
+            [activity[neighbor_id] for neighbor_id in self._neighbor_cache[node_id]],
+            now,
+            self.config.mac.activity_per_frame,
+        )
 
     def transmit_data(
         self,
@@ -251,7 +255,7 @@ class Network:
         p_data = self.medium.frame_success_probability(
             sender.node_id, receiver_id, now
         )
-        if self._loss_rng.random() >= p_data:
+        if self._loss_draw() >= p_data:
             return TxResult.NOACK_LOST
 
         receiver.hardware.on_receive()
@@ -270,7 +274,7 @@ class Network:
         p_ack = self.medium.frame_success_probability(
             receiver_id, sender.node_id, now
         )
-        if self._loss_rng.random() >= p_ack:
+        if self._loss_draw() >= p_ack:
             return TxResult.NOACK_ACK_LOST
         return TxResult.ACKED
 
@@ -281,15 +285,19 @@ class Network:
         self.stats.beacons_sent += 1
         sender.hardware.on_transmit()
         self._bump_activity_around(sender.node_id, now)
+        medium = self.medium
         for neighbor_id in self._neighbor_cache[sender.node_id]:
             receiver = self.nodes[neighbor_id]
             if not receiver.alive:
                 continue
-            p = self.medium.frame_success_probability(
-                sender.node_id, neighbor_id, now
+            # One RSSI sample serves both the PRR and the receiver: the
+            # link's fading has already advanced to ``now``.
+            rssi = medium.rssi(sender.node_id, neighbor_id, now)
+            p = (
+                0.0 if rssi is None
+                else medium.reception_probability(neighbor_id, rssi, now)
             )
-            if self._loss_rng.random() < p:
-                rssi = self.medium.rssi(sender.node_id, neighbor_id, now)
+            if self._loss_draw() < p:
                 receiver.on_beacon_received(beacon, rssi)
 
     # ------------------------------------------------------------------

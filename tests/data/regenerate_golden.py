@@ -5,6 +5,8 @@ the golden tests exist to make such changes visible.  Update the expected
 constants in tests/test_golden_trace.py to match the printed summary.
 """
 
+import sys
+
 from repro.simnet.faults import FaultInjector, ForcedLoop, NodeReboot
 from repro.simnet.network import Network, NetworkConfig
 from repro.simnet.radio import RadioParams
@@ -13,7 +15,9 @@ from repro.traces.frame import frame_from_network
 from repro.traces.io import save_frame_jsonl
 
 
-def main() -> None:
+def write_golden(path):
+    """Simulate the golden configuration, write its JSONL trace to ``path``
+    and return the frame."""
     topology = grid_topology(rows=4, cols=4, spacing=9.0)
     network = Network(topology, NetworkConfig(
         report_period_s=120.0, beacon_min_s=10.0, beacon_max_s=120.0,
@@ -30,10 +34,15 @@ def main() -> None:
             str(n): list(p) for n, p in topology.positions.items()
         },
     })
-    save_frame_jsonl(frame, "tests/data/golden_trace.jsonl")
+    save_frame_jsonl(frame, path)
+    return frame
+
+
+def main(path: str = "tests/data/golden_trace.jsonl") -> None:
+    frame = write_golden(path)
     print(f"golden trace: {len(frame)} snapshots, "
           f"delivery {frame.delivery_ratio():.4f}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

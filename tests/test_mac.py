@@ -1,9 +1,19 @@
 """Unit tests for the CSMA MAC model."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simnet.mac import ChannelActivity, CsmaMac, MacParams
+from repro.simnet.mac import (
+    ChannelActivity,
+    CsmaMac,
+    MacAttempt,
+    MacParams,
+    bump_activity,
+)
 
 
 @pytest.fixture
@@ -72,3 +82,63 @@ def test_activity_accumulates():
     for t in (0.0, 0.1, 0.2):
         activity.bump(t, 0.5)
     assert activity.level(0.2) > 1.4
+
+
+def scalar_attempt(mac, rng, activity_level, noise_rise_db):
+    """The CSMA loop drawing one scalar from ``rng`` per use (the oracle)."""
+    p = mac.params
+    busy = mac.busy_probability(activity_level, noise_rise_db)
+    backoffs = 0
+    delay = 0.0
+    while backoffs < p.max_backoffs:
+        if rng.random() >= busy:
+            return MacAttempt(acquired=True, backoffs=backoffs, delay_s=delay)
+        backoffs += 1
+        window = p.initial_backoff_s if backoffs == 1 else p.congestion_backoff_s
+        delay += float(rng.uniform(0.5, 1.5)) * window
+    return MacAttempt(acquired=False, backoffs=backoffs, delay_s=delay)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    inputs=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=8.0),
+            st.floats(min_value=0.0, max_value=40.0),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+)
+def test_attempt_matches_scalar_draw_oracle(seed, inputs):
+    mac = CsmaMac(MacParams(), np.random.default_rng(seed))
+    oracle_rng = np.random.default_rng(seed)
+    for activity, noise_rise in inputs:
+        expected = scalar_attempt(mac, oracle_rng, activity, noise_rise)
+        assert mac.attempt(activity, noise_rise) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bumps=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=5.0),
+            st.floats(min_value=0.0, max_value=2.0),
+        ),
+        max_size=50,
+    ),
+)
+def test_bump_activity_matches_exponential_decay(bumps):
+    decay_s = 2.0
+    activities = [ChannelActivity(decay_s), ChannelActivity(decay_s)]
+    level, last, now = 0.0, 0.0, 0.0
+    for step, amount in bumps:
+        now += step
+        bump_activity(activities, now, amount)
+        dt = now - last
+        if dt > 0:
+            level *= math.exp(-dt / decay_s)
+            last = now
+        level += amount
+        assert [a.level(now) for a in activities] == [level, level]

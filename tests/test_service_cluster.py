@@ -181,6 +181,7 @@ def test_pool_isolates_deployments_across_workers(testbed_tool, testbed_frame):
                 f'{{deployment="{names[key]}"}}'
             ) in text
         assert "repro_incidents_open{" in text
+        assert 'repro_errors_total{site="pool.pump"} 0' in text
 
         incidents = http_get_json(handle.host, handle.http_port,
                                   "/incidents")
